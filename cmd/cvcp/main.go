@@ -50,6 +50,7 @@ import (
 	"strings"
 
 	root "cvcp"
+	"cvcp/internal/constraints"
 	corecvcp "cvcp/internal/cvcp"
 	"cvcp/internal/dataset"
 	"cvcp/internal/runner"
@@ -323,7 +324,7 @@ func loadConstraints(path string) (*root.Constraints, error) {
 		return nil, err
 	}
 	defer f.Close()
-	cons := root.NewConstraints()
+	var cons []root.Constraint
 	sc := bufio.NewScanner(f)
 	line := 0
 	for sc.Scan() {
@@ -337,19 +338,20 @@ func loadConstraints(path string) (*root.Constraints, error) {
 		if _, err := fmt.Sscanf(text, "%d %d %s", &a, &b, &kind); err != nil {
 			return nil, fmt.Errorf("%s:%d: %q: %w", path, line, text, err)
 		}
+		var mustLink bool
 		switch strings.ToLower(kind) {
 		case "ml", "must", "mustlink", "must-link":
-			cons.Add(a, b, true)
+			mustLink = true
 		case "cl", "cannot", "cannotlink", "cannot-link":
-			cons.Add(a, b, false)
 		default:
 			return nil, fmt.Errorf("%s:%d: unknown constraint kind %q", path, line, kind)
 		}
+		cons = append(cons, root.Constraint{Pair: constraints.Pair{A: a, B: b}, MustLink: mustLink})
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
-	return cons, nil
+	return constraints.Of(cons), nil
 }
 
 func fatal(err error) {

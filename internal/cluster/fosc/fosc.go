@@ -57,11 +57,38 @@ type Result struct {
 	SelectedNodes []int
 }
 
+// Tree is a dendrogram prepared for repeated extraction: its LCA index and
+// post-order depend only on the tree, so every extraction against it —
+// the folds of one MinPts and the final clustering — shares them instead
+// of rebuilding them per constraint set. A Tree is read-only after
+// Prepare and safe for concurrent Extract calls.
+type Tree struct {
+	d    *hierarchy.Dendrogram
+	lca  *hierarchy.LCA
+	post []int
+}
+
+// Prepare builds the extraction indexes of d. An empty or nil dendrogram
+// yields a Tree whose Extract reports the error.
+func Prepare(d *hierarchy.Dendrogram) *Tree {
+	if d == nil || len(d.Nodes) == 0 {
+		return &Tree{d: d}
+	}
+	return &Tree{d: d, lca: hierarchy.NewLCA(d), post: d.PostOrder()}
+}
+
 // Extract selects the constraint-optimal flat clustering from the
 // dendrogram. cons may be empty, in which case every solution ties and the
 // coarsest admissible one (the root's children) is returned.
 func Extract(d *hierarchy.Dendrogram, cons *constraints.Set, cfg Config) (*Result, error) {
-	if d == nil || len(d.Nodes) == 0 {
+	return Prepare(d).Extract(cons, cfg)
+}
+
+// Extract selects the constraint-optimal flat clustering from the prepared
+// dendrogram; see the package-level Extract.
+func (t *Tree) Extract(cons *constraints.Set, cfg Config) (*Result, error) {
+	d := t.d
+	if t.lca == nil {
 		return nil, fmt.Errorf("fosc: empty dendrogram")
 	}
 	if cons == nil {
@@ -80,21 +107,16 @@ func Extract(d *hierarchy.Dendrogram, cons *constraints.Set, cfg Config) (*Resul
 	clIn := make([]float64, nNodes)  // CL constraints fully inside the node
 	clInc := make([]float64, nNodes) // CL endpoint count inside the node
 
-	ml := cons.MustLinks()
-	cl := cons.CannotLinks()
-	if len(ml)+len(cl) > 0 {
-		lca := hierarchy.NewLCA(d)
-		for _, p := range ml {
-			mlIn[lca.Query(p.A, p.B)]++
-		}
-		for _, p := range cl {
-			clIn[lca.Query(p.A, p.B)]++
-			clInc[p.A]++
-			clInc[p.B]++
-		}
+	for _, p := range cons.MustLinks() {
+		mlIn[t.lca.Query(p.A, p.B)]++
+	}
+	for _, p := range cons.CannotLinks() {
+		clIn[t.lca.Query(p.A, p.B)]++
+		clInc[p.A]++
+		clInc[p.B]++
 	}
 
-	post := d.PostOrder()
+	post := t.post
 	// Accumulate subtree sums: children precede parents in post-order.
 	for _, id := range post {
 		nd := d.Nodes[id]

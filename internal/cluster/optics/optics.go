@@ -27,13 +27,12 @@ type Result struct {
 // neighbor counting the object itself (the DBSCAN convention); it is +Inf
 // when the dataset has fewer than MinPts objects.
 func Run(x [][]float64, minPts int) (*Result, error) {
-	rowInto := func(dst []float64, i int) {
+	return run(len(x), minPts, func(dst []float64, i int) {
 		xi := x[i]
 		for j := range x {
 			dst[j] = linalg.Dist(xi, x[j])
 		}
-	}
-	return run(len(x), minPts, func(i, j int) float64 { return linalg.Dist(x[i], x[j]) }, rowInto)
+	})
 }
 
 // RunWithMatrix is Run with distance evaluations replaced by lookups into a
@@ -43,15 +42,15 @@ func Run(x [][]float64, minPts int) (*Result, error) {
 // ordering is bit-identical to Run's (for float32 matrices, bit-identical
 // to running on the rounded entries).
 func RunWithMatrix(dm *linalg.DistMatrix, minPts int) (*Result, error) {
-	return run(dm.N(), minPts, dm.At, func(dst []float64, i int) { dm.RowInto(dst, i) })
+	return run(dm.N(), minPts, func(dst []float64, i int) { dm.RowInto(dst, i) })
 }
 
-// run is the dense (ε = ∞) driver. dist answers point lookups during
-// expansion; rowInto materializes a full distance row into a reused buffer
-// for the core-distance pass — for condensed matrices this is a linear
-// two-stride walk (DistMatrix.RowInto) instead of n branchy At calls, and
-// it never allocates.
-func run(n, minPts int, dist func(i, j int) float64, rowInto func(dst []float64, i int)) (*Result, error) {
+// run is the dense (ε = ∞) driver. rowInto materializes the full distance
+// row of one object into a reused buffer — for condensed matrices a linear
+// two-stride walk (DistMatrix.RowInto) that never allocates. Each object's
+// row is read exactly once, when the object is popped: the same row yields
+// its core distance and drives its expansion.
+func run(n, minPts int, rowInto func(dst []float64, i int)) (*Result, error) {
 	if n == 0 {
 		return nil, fmt.Errorf("optics: empty dataset")
 	}
@@ -59,10 +58,14 @@ func run(n, minPts int, dist func(i, j int) float64, rowInto func(dst []float64,
 		return nil, fmt.Errorf("optics: MinPts must be >= 1, got %d", minPts)
 	}
 
-	core := coreDistances(n, minPts, rowInto)
+	core := make([]float64, n)
 	processed := make([]bool, n)
 	order := make([]int, 0, n)
 	reach := make([]float64, 0, n)
+	row := make([]float64, n)
+	// kthSmallest only runs when minPts <= n, so the selection buffer never
+	// needs more than n slots; MinPts is caller-supplied and unbounded.
+	sel := make([]float64, 0, min(minPts, n))
 
 	h := newHeap(n)
 	for start := 0; start < n; start++ {
@@ -79,14 +82,24 @@ func run(n, minPts int, dist func(i, j int) float64, rowInto func(dst []float64,
 			processed[i] = true
 			order = append(order, i)
 			reach = append(reach, r)
+			if minPts > n {
+				core[i] = math.Inf(1)
+			} else {
+				rowInto(row, i)
+				if minPts > 1 {
+					// The object itself (distance 0) counts as the first
+					// neighbor; MinPts = 1 leaves the core distance at 0.
+					core[i] = kthSmallest(row, minPts-1, sel)
+				}
+			}
 			if math.IsInf(core[i], 1) {
 				continue // not a core object: cannot expand
 			}
-			for j := 0; j < n; j++ {
+			for j, d := range row {
 				if processed[j] {
 					continue
 				}
-				nr := math.Max(core[i], dist(i, j))
+				nr := math.Max(core[i], d)
 				h.pushOrDecrease(j, nr)
 			}
 		}
@@ -94,76 +107,43 @@ func run(n, minPts int, dist func(i, j int) float64, rowInto func(dst []float64,
 	return &Result{Order: order, Reach: reach, Core: core}, nil
 }
 
-// coreDistances returns, for every object, the distance to its minPts-th
-// nearest neighbor (the object itself counts as the first). The minPts-th
-// smallest row entry is selected in O(n) with kthSmallest instead of a
-// full O(n log n) sort — the order statistic is the same value either way.
-func coreDistances(n, minPts int, rowInto func(dst []float64, i int)) []float64 {
-	core := make([]float64, n)
-	if minPts > n {
-		for i := range core {
-			core[i] = math.Inf(1)
+// kthSmallest returns the k-th smallest value of a (0-indexed) — exactly
+// the value sort would put at index k — without reordering a. It keeps
+// the k+1 smallest values seen so far in a bounded max-heap built in
+// buf's backing array (grown if its capacity is below k+1), so a pass
+// costs O(len(a)·log k) and, for the small k of a MinPts grid, rejects
+// almost every entry with one comparison against the heap's top.
+func kthSmallest(a []float64, k int, buf []float64) float64 {
+	h := append(buf[:0], a[:k+1]...)
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		siftDown(h, i)
+	}
+	for _, v := range a[k+1:] {
+		if v < h[0] {
+			h[0] = v
+			siftDown(h, 0)
 		}
-		return core
 	}
-	if minPts == 1 {
-		return core // distance to itself
-	}
-	d := make([]float64, n)
-	for i := 0; i < n; i++ {
-		rowInto(d, i)
-		core[i] = kthSmallest(d, minPts-1)
-	}
-	return core
+	return h[0]
 }
 
-// kthSmallest returns the k-th smallest value of a (0-indexed), reordering
-// a in place. Deterministic three-way quickselect with a median-of-three
-// pivot: the selected order statistic is exactly the value sort would put
-// at index k.
-func kthSmallest(a []float64, k int) float64 {
-	lo, hi := 0, len(a)
-	for hi-lo > 1 {
-		pivot := median3(a[lo], a[lo+(hi-lo)/2], a[hi-1])
-		// Three-way partition: a[lo:lt] < pivot, a[lt:i] == pivot,
-		// a[gt:hi] > pivot.
-		lt, gt := lo, hi
-		for i := lo; i < gt; {
-			switch {
-			case a[i] < pivot:
-				a[i], a[lt] = a[lt], a[i]
-				lt++
-				i++
-			case a[i] > pivot:
-				gt--
-				a[i], a[gt] = a[gt], a[i]
-			default:
-				i++
-			}
+// siftDown restores the max-heap property of h below position i.
+func siftDown(h []float64, i int) {
+	for {
+		l := 2*i + 1
+		if l >= len(h) {
+			return
 		}
-		switch {
-		case k < lt:
-			hi = lt
-		case k >= gt:
-			lo = gt
-		default:
-			return pivot
+		big := l
+		if r := l + 1; r < len(h) && h[r] > h[l] {
+			big = r
 		}
+		if !(h[big] > h[i]) {
+			return
+		}
+		h[i], h[big] = h[big], h[i]
+		i = big
 	}
-	return a[lo]
-}
-
-func median3(a, b, c float64) float64 {
-	if a > b {
-		a, b = b, a
-	}
-	if b > c {
-		b = c
-	}
-	if a > b {
-		b = a
-	}
-	return b
 }
 
 // heap is an indexed min-heap over object indices keyed by reachability,

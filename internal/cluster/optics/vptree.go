@@ -208,6 +208,7 @@ func RunWithEps(x [][]float64, minPts int, eps float64) (*Result, error) {
 	core := make([]float64, n)
 	var nb []Neighbor
 	dbuf := make([]float64, 0, n)
+	sel := make([]float64, 0, min(minPts, n)) // kthSmallest needs minPts <= len(nb) <= n
 	for i := 0; i < n; i++ {
 		nb = t.RangeInto(nb, x[i], eps)
 		if len(nb) < minPts {
@@ -218,7 +219,7 @@ func RunWithEps(x [][]float64, minPts int, eps float64) (*Result, error) {
 		for _, p := range nb {
 			dbuf = append(dbuf, p.Dist)
 		}
-		core[i] = kthSmallest(dbuf, minPts-1)
+		core[i] = kthSmallest(dbuf, minPts-1, sel)
 	}
 
 	processed := make([]bool, n)

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -172,7 +173,7 @@ func TestVPTreeConcurrentQueries(t *testing.T) {
 
 // kthSmallest must select exactly the value sort would place at index k,
 // on adversarial shapes: duplicates, all-equal, pre-sorted, reversed, and
-// slices containing +Inf.
+// slices containing +Inf, and must leave its input in place.
 func TestKthSmallestMatchesSort(t *testing.T) {
 	r := rand.New(rand.NewSource(61))
 	cases := [][]float64{
@@ -195,9 +196,12 @@ func TestKthSmallestMatchesSort(t *testing.T) {
 		want := append([]float64(nil), c...)
 		sort.Float64s(want)
 		for k := range c {
-			scratch := append([]float64(nil), c...)
-			if got := kthSmallest(scratch, k); got != want[k] {
+			in := append([]float64(nil), c...)
+			if got := kthSmallest(in, k, nil); got != want[k] {
 				t.Fatalf("case %d: kthSmallest(k=%d) = %v, want %v (input %v)", ci, k, got, want[k], c)
+			}
+			if !slices.Equal(in, c) {
+				t.Fatalf("case %d: kthSmallest(k=%d) reordered its input: %v", ci, k, in)
 			}
 		}
 	}
@@ -205,12 +209,12 @@ func TestKthSmallestMatchesSort(t *testing.T) {
 
 // With ε = +Inf the tree-backed finite-ε driver must reproduce Run
 // bit-for-bit: same ordering, same reachability bytes, same core
-// distances.
+// distances — also for a MinPts far beyond any allocatable size.
 func TestRunWithEpsInfMatchesRun(t *testing.T) {
 	r := rand.New(rand.NewSource(67))
 	for _, n := range []int{1, 2, 9, 60} {
 		x := randRows(r, n, 3)
-		for _, minPts := range []int{1, 2, 4, n, n + 3} {
+		for _, minPts := range []int{1, 2, 4, n, n + 3, 1 << 50} {
 			want, err := Run(x, minPts)
 			if err != nil {
 				t.Fatal(err)

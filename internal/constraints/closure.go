@@ -16,46 +16,40 @@ import (
 // components. Closure returns an error when the input is inconsistent, i.e.
 // some cannot-link connects two objects of the same must-link component.
 func Closure(s *Set) (*Set, error) {
-	uf := NewUnionFind()
-	for p := range s.ml {
-		uf.Union(p.A, p.B)
-	}
-	for p := range s.cl {
-		uf.Find(p.A)
-		uf.Find(p.B)
+	comps := MustLinkComponents(s)
+	compOf := make(map[int]int, 2*len(comps))
+	for c, members := range comps {
+		for _, o := range members {
+			compOf[o] = c
+		}
 	}
 
 	// Conflicts and component-level cannot-link pairs.
-	compCL := map[Pair]struct{}{}
-	for p := range s.cl {
-		ra, rb := uf.Find(p.A), uf.Find(p.B)
-		if ra == rb {
+	compCL := make([]Pair, 0, len(s.cl))
+	for _, p := range s.cl {
+		ca, cb := compOf[p.A], compOf[p.B]
+		if ca == cb {
 			return nil, fmt.Errorf("constraints: inconsistent input: cannot-link(%d,%d) joins one must-link component", p.A, p.B)
 		}
-		compCL[MakePair(ra, rb)] = struct{}{}
+		compCL = append(compCL, MakePair(ca, cb))
 	}
 
-	comps := uf.Components()
-	for _, members := range comps {
-		sort.Ints(members)
-	}
-
-	out := NewSet()
+	var ml, cl []Pair
 	for _, members := range comps {
 		for i := 0; i < len(members); i++ {
 			for j := i + 1; j < len(members); j++ {
-				out.ml[Pair{members[i], members[j]}] = struct{}{}
+				ml = append(ml, Pair{members[i], members[j]})
 			}
 		}
 	}
-	for cp := range compCL {
+	for _, cp := range canonical(compCL) {
 		for _, a := range comps[cp.A] {
 			for _, b := range comps[cp.B] {
-				out.cl[MakePair(a, b)] = struct{}{}
+				cl = append(cl, MakePair(a, b))
 			}
 		}
 	}
-	return out, nil
+	return newSetOf(ml, cl), nil
 }
 
 // MustLinkComponents returns the must-link connected components of s as
@@ -63,10 +57,10 @@ func Closure(s *Set) (*Set, error) {
 // appearing only in cannot-links are included as singletons.
 func MustLinkComponents(s *Set) [][]int {
 	uf := NewUnionFind()
-	for p := range s.ml {
+	for _, p := range s.ml {
 		uf.Union(p.A, p.B)
 	}
-	for p := range s.cl {
+	for _, p := range s.cl {
 		uf.Find(p.A)
 		uf.Find(p.B)
 	}

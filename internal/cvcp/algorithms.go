@@ -2,7 +2,6 @@ package cvcp
 
 import (
 	"cvcp/internal/cluster/fosc"
-	"cvcp/internal/cluster/hierarchy"
 	"cvcp/internal/cluster/mpckmeans"
 	"cvcp/internal/constraints"
 	"cvcp/internal/dataset"
@@ -58,14 +57,15 @@ type FOSCOpticsDend struct {
 // Name implements Algorithm.
 func (FOSCOpticsDend) Name() string { return "FOSC-OPTICSDend" }
 
-// Cluster implements Algorithm. The OPTICS ordering depends only on the
-// data and MinPts — not on the constraints — so it is obtained through the
-// shared run cache (runcache.go): all folds of one MinPts and the final
-// clustering share a single ordering computed on the dataset's shared
+// Cluster implements Algorithm. The OPTICS ordering, and the dendrogram
+// FOSC extracts from, depend only on the data and MinPts — not on the
+// constraints — so the prepared tree is obtained through the shared run
+// cache (runcache.go): all folds of one MinPts and the final clustering
+// share a single tree built from one ordering on the dataset's shared
 // pairwise-distance matrix, even when the engine schedules them
 // concurrently.
 func (f FOSCOpticsDend) Cluster(ds *dataset.Dataset, train *constraints.Set, minPts int, seed int64) ([]int, error) {
-	res, err := opticsDendrogram(ds, minPts, f.Matrix32, f.Eps)
+	tree, err := foscTree(ds, minPts, f.Matrix32, f.Eps)
 	if err != nil {
 		return nil, err
 	}
@@ -73,19 +73,11 @@ func (f FOSCOpticsDend) Cluster(ds *dataset.Dataset, train *constraints.Set, min
 	if mcs == 0 {
 		mcs = minPts
 	}
-	ext, err := fosc.Extract(res, train, fosc.Config{MinClusterSize: mcs})
+	ext, err := tree.Extract(train, fosc.Config{MinClusterSize: mcs})
 	if err != nil {
 		return nil, err
 	}
 	return ext.Labels, nil
-}
-
-func opticsDendrogram(ds *dataset.Dataset, minPts int, f32 bool, eps float64) (*hierarchy.Dendrogram, error) {
-	ord, err := opticsRun(ds, minPts, f32, eps)
-	if err != nil {
-		return nil, err
-	}
-	return hierarchy.FromReachability(ord)
 }
 
 // MPCKMeans adapts the MPCK-Means implementation to the Algorithm

@@ -5,8 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"cvcp/internal/constraints"
 	"cvcp/internal/stats"
@@ -148,9 +150,9 @@ func TestSelectProgress(t *testing.T) {
 	}
 }
 
-// TestRunCacheHammer drives the shared OPTICS/distance caches from many
+// TestRunCacheHammer drives the shared FOSC-tree/distance caches from many
 // goroutines at once (run under -race in CI): every caller must observe the
-// same memoized ordering and matrix for a given (dataset, MinPts).
+// same memoized tree and matrix for a given (dataset, MinPts).
 func TestRunCacheHammer(t *testing.T) {
 	runCache.Flush()
 	ds := blobsDataset(36, 3, 15, 12)
@@ -166,13 +168,13 @@ func TestRunCacheHammer(t *testing.T) {
 			got := map[int]any{}
 			for i := 0; i < 50; i++ {
 				mp := minPts[i%len(minPts)]
-				res, err := opticsRun(ds, mp, false, 0)
+				res, err := foscTree(ds, mp, false, 0)
 				if err != nil {
 					t.Error(err)
 					return
 				}
 				if prev, ok := got[mp]; ok && prev != res {
-					t.Errorf("goroutine %d: two distinct orderings for MinPts=%d", g, mp)
+					t.Errorf("goroutine %d: two distinct trees for MinPts=%d", g, mp)
 					return
 				}
 				got[mp] = res
@@ -188,9 +190,35 @@ func TestRunCacheHammer(t *testing.T) {
 		}
 		for mp, res := range results[g] {
 			if res != results[0][mp] {
-				t.Errorf("goroutine %d observed a different ordering for MinPts=%d", g, mp)
+				t.Errorf("goroutine %d observed a different tree for MinPts=%d", g, mp)
 			}
 		}
+	}
+}
+
+// A dataset's run-cache entries — matrix and prepared trees — die
+// with the dataset: once it is unreachable, a cleanup drops its owner
+// without waiting for the cacheDatasets bound to evict it.
+func TestRunCacheOwnerDiesWithDataset(t *testing.T) {
+	runCache.Flush()
+	func() {
+		ds := blobsDataset(38, 3, 15, 12)
+		for _, mp := range []int{3, 6} {
+			if _, err := foscTree(ds, mp, false, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := runCache.Owners(); got != 1 {
+			t.Fatalf("owners = %d with the dataset live, want 1", got)
+		}
+	}()
+	deadline := time.Now().Add(10 * time.Second)
+	for runCache.Owners() != 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("owners = %d long after the dataset became unreachable, want 0", runCache.Owners())
+		}
+		runtime.GC()
+		time.Sleep(time.Millisecond)
 	}
 }
 

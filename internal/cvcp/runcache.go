@@ -1,6 +1,8 @@
 package cvcp
 
 import (
+	"cvcp/internal/cluster/fosc"
+	"cvcp/internal/cluster/hierarchy"
 	"cvcp/internal/cluster/optics"
 	"cvcp/internal/dataset"
 	"cvcp/internal/linalg"
@@ -13,22 +15,28 @@ import (
 //
 //   - the pairwise-distance matrix, reused by every OPTICS run over the
 //     dataset regardless of MinPts;
-//   - the OPTICS ordering per (dataset, MinPts), reused by every fold of
-//     that parameter and by the final clustering.
+//   - the prepared FOSC tree per (dataset, MinPts) — the dendrogram built
+//     from the OPTICS ordering, with its LCA index and post-order — reused
+//     by every fold of that parameter and by the final clustering, so each
+//     cell pays only for its own constraints. The ordering itself is not
+//     cached: the tree is its only consumer and is built once.
 //
 // runner.Cache provides the sharing: it is single-flight, so when the
 // engine schedules all folds of one MinPts concurrently, exactly one task
-// computes the ordering and the rest block on it instead of duplicating the
+// computes the tree and the rest block on it instead of duplicating the
 // O(n²) work. The cache is process-wide and keyed by dataset identity
-// (pointer), retaining only a few recent datasets: experiment trials create
-// datasets in sequence and never revisit old ones.
+// through a weak pointer: a dataset's entries die with the dataset, so
+// short-lived datasets (a server job's snapshot, a stable fold's
+// sub-dataset) release their matrices as soon as they are collected.
+// cacheDatasets bounds the datasets that stay reachable: experiment trials
+// create datasets in sequence and never revisit old ones.
 const cacheDatasets = 8
 
-var runCache = runner.NewCache(cacheDatasets)
+var runCache = runner.NewCache[dataset.Dataset](cacheDatasets)
 
 type distMatrixKey struct{ f32 bool }
 
-type opticsKey struct {
+type treeKey struct {
 	minPts int
 	f32    bool
 	eps    float64 // 0 = dense ε=∞ path; > 0 (incl. +Inf) = VP-tree ε-range driver
@@ -61,21 +69,36 @@ func distMatrix(ds *dataset.Dataset, f32 bool) *linalg.DistMatrix {
 	return v.(*linalg.DistMatrix)
 }
 
-// opticsRun returns the dataset's OPTICS ordering for (minPts, precision,
-// eps), computing it at most once per cached dataset. eps = 0 runs the
-// dense path on the shared distance matrix of the requested precision;
-// a positive eps routes through the VP-tree ε-range driver, which
-// computes distances on demand and never touches (or populates) the
-// cached matrix — a finite-ε grid column costs no O(n²) memory.
+// opticsRun computes the dataset's OPTICS ordering for (minPts,
+// precision, eps). eps = 0 runs the dense path on the shared distance
+// matrix of the requested precision; a positive eps routes through the
+// VP-tree ε-range driver, which computes distances on demand and never
+// touches (or populates) the cached matrix — a finite-ε grid column costs
+// no O(n²) memory.
 func opticsRun(ds *dataset.Dataset, minPts int, f32 bool, eps float64) (*optics.Result, error) {
-	v, err := runCache.Do(ds, opticsKey{minPts, f32, eps}, func() (any, error) {
-		if eps > 0 {
-			return optics.RunWithEps(ds.X, minPts, eps)
+	if eps > 0 {
+		return optics.RunWithEps(ds.X, minPts, eps)
+	}
+	return optics.RunWithMatrix(distMatrix(ds, f32), minPts)
+}
+
+// foscTree returns the dataset's prepared FOSC tree for (minPts,
+// precision, eps), built at most once per cached dataset from a fresh
+// OPTICS ordering.
+func foscTree(ds *dataset.Dataset, minPts int, f32 bool, eps float64) (*fosc.Tree, error) {
+	v, err := runCache.Do(ds, treeKey{minPts, f32, eps}, func() (any, error) {
+		ord, err := opticsRun(ds, minPts, f32, eps)
+		if err != nil {
+			return nil, err
 		}
-		return optics.RunWithMatrix(distMatrix(ds, f32), minPts)
+		d, err := hierarchy.FromReachability(ord)
+		if err != nil {
+			return nil, err
+		}
+		return fosc.Prepare(d), nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	return v.(*optics.Result), nil
+	return v.(*fosc.Tree), nil
 }

@@ -2,6 +2,7 @@ package cvcp
 
 import (
 	"context"
+	"sync"
 	"testing"
 
 	"cvcp/internal/dataset"
@@ -9,8 +10,10 @@ import (
 )
 
 // memCellStore is a map-backed CellStore for exercising the cache path
-// without a real persistence layer.
+// without a real persistence layer. Grid workers call it concurrently, so
+// it locks like any CellStore must.
 type memCellStore struct {
+	mu   sync.Mutex
 	m    map[string]uint64
 	puts int
 }
@@ -18,11 +21,15 @@ type memCellStore struct {
 func newMemCellStore() *memCellStore { return &memCellStore{m: map[string]uint64{}} }
 
 func (s *memCellStore) GetCell(key string) (uint64, bool, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	bits, ok := s.m[key]
 	return bits, ok, nil
 }
 
 func (s *memCellStore) PutCell(key string, bits uint64) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	s.puts++
 	s.m[key] = bits
 	return nil

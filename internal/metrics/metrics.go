@@ -409,7 +409,10 @@ func (h *Histogram) write(w io.Writer) error {
 	if _, err := fmt.Fprintf(w, "%s_sum %s\n", h.nam, formatFloat(h.Sum())); err != nil {
 		return err
 	}
-	_, err := fmt.Fprintf(w, "%s_count %d\n", h.nam, h.count.Load())
+	// _count repeats the +Inf bucket rather than loading count: an Observe
+	// landing between the two loads would otherwise expose a _count that
+	// disagrees with +Inf, which the exposition format forbids.
+	_, err := fmt.Fprintf(w, "%s_count %d\n", h.nam, cum)
 	return err
 }
 

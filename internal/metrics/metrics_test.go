@@ -107,6 +107,42 @@ func TestHistogramBucketsCumulative(t *testing.T) {
 	}
 }
 
+// Exposition stays self-consistent while observations land: every
+// scrape's _count equals its +Inf bucket.
+func TestHistogramExpositionConsistentUnderObserve(t *testing.T) {
+	reg := fresh(t)
+	h := NewHistogram("test_live_seconds", "x", []float64{0.5})
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				h.Observe(0.25)
+			}
+		}
+	}()
+	defer func() { close(stop); wg.Wait() }()
+	for i := 0; i < 2000; i++ {
+		var inf, count string
+		for _, line := range strings.Split(render(t, reg), "\n") {
+			if v, ok := strings.CutPrefix(line, `test_live_seconds_bucket{le="+Inf"} `); ok {
+				inf = v
+			}
+			if v, ok := strings.CutPrefix(line, "test_live_seconds_count "); ok {
+				count = v
+			}
+		}
+		if inf != count {
+			t.Fatalf("scrape %d: +Inf bucket %s != _count %s", i, inf, count)
+		}
+	}
+}
+
 func TestHistogramIgnoresNaN(t *testing.T) {
 	fresh(t)
 	h := NewHistogram("test_nan_seconds", "x", []float64{1})

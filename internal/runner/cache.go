@@ -1,6 +1,11 @@
 package runner
 
-import "sync"
+import (
+	"runtime"
+	"slices"
+	"sync"
+	"weak"
+)
 
 // Cache is the shared memoization layer for engine runs: a two-level,
 // single-flight cache of expensive intermediates keyed by an owner (in CVCP,
@@ -15,16 +20,21 @@ import "sync"
 // needs the same distance matrix, yet each is computed exactly once per
 // run regardless of the worker count.
 //
-// Owners are evicted in insertion order once more than maxOwners are
-// resident: experiment harnesses walk datasets in sequence and never
+// Owners live exactly as long as the owner itself: the cache keys them by
+// weak.Pointer, so it never keeps an owner reachable, and a runtime
+// cleanup drops an owner's values once the owner has been collected.
+// Cached values must not reference their owner, or it never becomes
+// unreachable. Independently, owners are evicted in insertion order once
+// more than maxOwners are resident — the backstop for owners that stay
+// reachable: experiment harnesses walk datasets in sequence and never
 // revisit old ones, so retaining a short window of recent owners bounds
 // memory without a hit-rate cost.
-type Cache struct {
+type Cache[O any] struct {
 	maxOwners int
 
 	mu      sync.Mutex
-	order   []any // insertion order of owners, for eviction
-	entries map[any]map[any]*cacheEntry
+	order   []weak.Pointer[O] // insertion order of owners, for eviction
+	entries map[weak.Pointer[O]]map[any]*cacheEntry
 }
 
 type cacheEntry struct {
@@ -35,32 +45,34 @@ type cacheEntry struct {
 
 // NewCache returns a Cache retaining values for at most maxOwners distinct
 // owners (minimum 1).
-func NewCache(maxOwners int) *Cache {
+func NewCache[O any](maxOwners int) *Cache[O] {
 	if maxOwners < 1 {
 		maxOwners = 1
 	}
-	return &Cache{
+	return &Cache[O]{
 		maxOwners: maxOwners,
-		entries:   map[any]map[any]*cacheEntry{},
+		entries:   map[weak.Pointer[O]]map[any]*cacheEntry{},
 	}
 }
 
 // Do returns the cached value for (owner, key), computing it with compute on
 // the first call. Errors are cached too: the engine's inputs are
 // deterministic, so a failed computation would fail identically on retry.
-// owner and key must be valid map keys.
-func (c *Cache) Do(owner, key any, compute func() (any, error)) (any, error) {
+// key must be a valid map key.
+func (c *Cache[O]) Do(owner *O, key any, compute func() (any, error)) (any, error) {
+	wp := weak.Make(owner)
 	c.mu.Lock()
-	m, ok := c.entries[owner]
+	m, ok := c.entries[wp]
 	if !ok {
 		m = map[any]*cacheEntry{}
-		c.entries[owner] = m
-		c.order = append(c.order, owner)
+		c.entries[wp] = m
+		c.order = append(c.order, wp)
 		if len(c.order) > c.maxOwners {
 			evict := c.order[0]
 			c.order = c.order[1:]
 			delete(c.entries, evict)
 		}
+		runtime.AddCleanup(owner, c.drop, wp)
 	}
 	e, ok := m[key]
 	if !ok {
@@ -76,17 +88,28 @@ func (c *Cache) Do(owner, key any, compute func() (any, error)) (any, error) {
 	return e.val, e.err
 }
 
+// drop forgets a collected owner and its values, if still resident.
+func (c *Cache[O]) drop(wp weak.Pointer[O]) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if _, ok := c.entries[wp]; !ok {
+		return
+	}
+	delete(c.entries, wp)
+	c.order = slices.DeleteFunc(c.order, func(o weak.Pointer[O]) bool { return o == wp })
+}
+
 // Flush drops every cached value. Tests use it to make compute counts
 // predictable; production callers never need it.
-func (c *Cache) Flush() {
+func (c *Cache[O]) Flush() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.order = nil
-	c.entries = map[any]map[any]*cacheEntry{}
+	c.entries = map[weak.Pointer[O]]map[any]*cacheEntry{}
 }
 
 // Owners reports how many owners currently have resident values.
-func (c *Cache) Owners() int {
+func (c *Cache[O]) Owners() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return len(c.order)

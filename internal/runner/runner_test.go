@@ -4,9 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestRunExecutesEveryTask(t *testing.T) {
@@ -181,8 +183,21 @@ func TestGridCoordinates(t *testing.T) {
 	}
 }
 
+// namedOwners returns one stable owner per name: the cache keys owners by
+// identity, and a test keeps every owner reachable for its whole run.
+func namedOwners(names ...string) map[string]*string {
+	m := make(map[string]*string, len(names))
+	for _, name := range names {
+		p := new(string)
+		*p = name
+		m[name] = p
+	}
+	return m
+}
+
 func TestCacheSingleFlight(t *testing.T) {
-	c := NewCache(4)
+	c := NewCache[string](4)
+	owner := namedOwners("owner")["owner"]
 	var computes atomic.Int32
 	const goroutines = 64
 	var wg sync.WaitGroup
@@ -192,7 +207,7 @@ func TestCacheSingleFlight(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			v, err := c.Do("owner", "key", func() (any, error) {
+			v, err := c.Do(owner, "key", func() (any, error) {
 				computes.Add(1)
 				return 42, nil
 			})
@@ -216,7 +231,8 @@ func TestCacheSingleFlight(t *testing.T) {
 // Hammer the cache from many goroutines across owners and keys; run under
 // -race this doubles as the cache's race-detector coverage.
 func TestCacheHammer(t *testing.T) {
-	c := NewCache(3)
+	c := NewCache[string](3)
+	owners := namedOwners("ds0", "ds1", "ds2", "ds3", "ds4")
 	var wg sync.WaitGroup
 	for g := 0; g < 32; g++ {
 		g := g
@@ -227,7 +243,7 @@ func TestCacheHammer(t *testing.T) {
 				owner := fmt.Sprintf("ds%d", i%5)
 				key := i % 7
 				want := fmt.Sprintf("%s/%d", owner, key)
-				v, err := c.Do(owner, key, func() (any, error) { return want, nil })
+				v, err := c.Do(owners[owner], key, func() (any, error) { return want, nil })
 				if err != nil {
 					t.Error(err)
 					return
@@ -243,10 +259,11 @@ func TestCacheHammer(t *testing.T) {
 }
 
 func TestCacheEvictsOldestOwner(t *testing.T) {
-	c := NewCache(2)
+	c := NewCache[string](2)
+	owners := namedOwners("a", "b", "c")
 	count := func(owner string) int {
 		n := 0
-		c.Do(owner, "k", func() (any, error) { n++; return nil, nil })
+		c.Do(owners[owner], "k", func() (any, error) { n++; return nil, nil })
 		return n
 	}
 	count("a")
@@ -270,12 +287,41 @@ func TestCacheEvictsOldestOwner(t *testing.T) {
 	}
 }
 
+// The cache never keeps an owner alive, and the owner's values go with
+// it: a collected owner disappears from Owners without an eviction.
+func TestCacheOwnerDropsWhenCollected(t *testing.T) {
+	c := NewCache[[64]byte](4)
+	live := new([64]byte)
+	func() {
+		dead := new([64]byte)
+		for _, owner := range []*[64]byte{live, dead} {
+			if _, err := c.Do(owner, "k", func() (any, error) { return 1, nil }); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}()
+	deadline := time.Now().Add(10 * time.Second)
+	for c.Owners() != 1 {
+		if time.Now().After(deadline) {
+			t.Fatalf("owners = %d long after one owner became unreachable, want 1", c.Owners())
+		}
+		runtime.GC()
+		time.Sleep(time.Millisecond)
+	}
+	n := 0
+	if _, err := c.Do(live, "k", func() (any, error) { n++; return nil, nil }); err != nil || n != 0 {
+		t.Fatalf("live owner's value was dropped (recomputed %d times, err %v)", n, err)
+	}
+	runtime.KeepAlive(live)
+}
+
 func TestCacheCachesErrors(t *testing.T) {
-	c := NewCache(2)
+	c := NewCache[string](2)
+	owner := namedOwners("o")["o"]
 	boom := errors.New("boom")
 	n := 0
 	for i := 0; i < 3; i++ {
-		_, err := c.Do("o", "k", func() (any, error) { n++; return nil, boom })
+		_, err := c.Do(owner, "k", func() (any, error) { n++; return nil, boom })
 		if !errors.Is(err, boom) {
 			t.Fatalf("err = %v", err)
 		}
@@ -286,15 +332,16 @@ func TestCacheCachesErrors(t *testing.T) {
 }
 
 func TestCacheFlush(t *testing.T) {
-	c := NewCache(2)
+	c := NewCache[string](2)
+	owner := namedOwners("o")["o"]
 	n := 0
 	compute := func() (any, error) { n++; return nil, nil }
-	c.Do("o", "k", compute)
+	c.Do(owner, "k", compute)
 	c.Flush()
 	if c.Owners() != 0 {
 		t.Fatal("owners after flush")
 	}
-	c.Do("o", "k", compute)
+	c.Do(owner, "k", compute)
 	if n != 2 {
 		t.Fatalf("computed %d times, want 2 after flush", n)
 	}

@@ -9,7 +9,8 @@ import (
 // content-addressed cell keys to IEEE-754 score bit patterns. The store
 // package adapts its record stores to this interface; scores travel as
 // uint64 bits (never formatted floats) so a cached score is bit-identical
-// to the computation it replaced.
+// to the computation it replaced. Implementations must be safe for
+// concurrent use: grid workers look up and write back cells in parallel.
 type CellStore interface {
 	// GetCell returns the stored score bits for key, reporting whether the
 	// key was present.

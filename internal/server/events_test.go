@@ -432,8 +432,18 @@ func TestSSEConcurrentSubscribers(t *testing.T) {
 		}
 		for r := 0; r < 3; r++ {
 			wg.Add(1)
-			go func(id string, after int) {
+			go func(j *Job, after int) {
 				defer wg.Done()
+				id := j.ID()
+				// Resume only from an id the job has issued: a
+				// Last-Event-ID above its current seq is foreign and
+				// replays the full history (pinned by
+				// TestSSEForeignLastEventIDReplaysLive), which would
+				// restart below the resume point. Every job issues at
+				// least two events (queued, then a terminal status).
+				for after > 0 && len(j.EventsSince(after-1)) == 0 {
+					time.Sleep(time.Millisecond)
+				}
 				events := getSSE(t, ts, id, after)
 				prev := after
 				for _, ev := range events {
@@ -449,7 +459,7 @@ func TestSSEConcurrentSubscribers(t *testing.T) {
 				if len(events) > 0 && events[len(events)-1].event != "status" {
 					t.Errorf("job %s: stream (after=%d) did not end with a status event", id, after)
 				}
-			}(j.ID(), r) // after = 0, 1, 2
+			}(j, r) // after = 0, 1, 2
 		}
 		if g%2 == 1 {
 			go m.Cancel(j.ID())
@@ -461,6 +471,48 @@ func TestSSEConcurrentSubscribers(t *testing.T) {
 	case <-done:
 	case <-time.After(60 * time.Second):
 		t.Fatal("subscribers never finished")
+	}
+}
+
+// A Last-Event-ID the job has not issued is foreign, so SubscribeSince
+// replays the full history — also while the job is live, the case a
+// resuming client hits when it reconnects to a job that restarted its
+// numbering or to the wrong job. The stream must equal the fresh one from
+// seq 1, and the live tail must follow the replay without a gap.
+func TestSSEForeignLastEventIDReplaysLive(t *testing.T) {
+	ds, _ := testDataset(t, 30)
+	alg := newBlockingAlg()
+	RegisterAlgorithm("block-sse-foreign", alg, []int{1})
+	ts, m := newTestServer(t, Config{MaxRunningJobs: 1, WorkerBudget: 2})
+
+	spec := quickSpec()
+	spec.Algorithm = "block-sse-foreign"
+	spec.Params = []int{1}
+	j, err := m.Submit(spec, ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-alg.started // running: queued (1) and running (2) are issued
+
+	// The job issues only a handful of events, so 1000 stays foreign
+	// however far it gets before the subscription lands.
+	got := make(chan []sseEvent)
+	go func() { got <- getSSE(t, ts, j.ID(), 1000) }()
+	close(alg.release)
+	resumed := <-got
+	waitTerminal(t, j)
+
+	full := getSSE(t, ts, j.ID(), 0)
+	if len(resumed) != len(full) {
+		t.Fatalf("foreign Last-Event-ID replayed %d events, want the full %d", len(resumed), len(full))
+	}
+	for i := range full {
+		if !sameSSE(resumed[i], full[i]) {
+			t.Fatalf("event %d = %+v, want %+v", i, resumed[i], full[i])
+		}
+	}
+	if full[0].id != 1 || full[len(full)-1].event != "status" {
+		t.Fatalf("full stream %+v: want seq 1 first and a terminal status last", full)
 	}
 }
 

@@ -237,10 +237,13 @@ func (t *eventTail) since(after int) ([]Event, bool) {
 	return out, t.buf[t.start].Seq <= after+1
 }
 
-// Job is one selection job. All mutable state is guarded by mu; the
-// dataset and spec are immutable after submission. ds is nil for terminal
-// jobs resurrected from the store (their records drop the dataset
-// payload); dsName and objects carry the dataset identity independently.
+// Job is one selection job. All mutable state is guarded by mu; the spec
+// is immutable after submission, and so are ds and dsBlob until the job
+// turns terminal, when finish (or a cancel before start) drops them under
+// mu: terminal records omit the payload and nothing reads either field
+// afterwards, so a retained finished job pins neither its dataset nor its
+// payload. Terminal jobs resurrected from the store never had them; dsName
+// and objects carry the dataset identity independently.
 type Job struct {
 	id      string
 	batch   string // owning batch ID, empty for individual submissions
@@ -471,6 +474,7 @@ func (j *Job) requestCancel() Status {
 	if j.status == StatusQueued {
 		j.status = StatusCancelled
 		j.finished = time.Now()
+		j.ds, j.dsBlob = nil, nil
 		j.publishLocked(Event{Type: "status", Status: StatusCancelled})
 		j.closeSubsLocked()
 	}
@@ -561,6 +565,7 @@ func (j *Job) finish(res *corecvcp.Result, err error) {
 		j.status = StatusFailed
 		j.errMsg = err.Error()
 	}
+	j.ds, j.dsBlob = nil, nil
 	j.publishLocked(Event{Type: "status", Status: j.status})
 	j.closeSubsLocked()
 	// Release the cancelCtx registered on the manager's base context;
@@ -640,11 +645,11 @@ func buildSelectionSpec(spec Spec, ds *dataset.Dataset) (corecvcp.Spec, error) {
 	var sup corecvcp.Supervision
 	switch {
 	case len(spec.Constraints) > 0:
-		cons := constraints.NewSet()
-		for _, c := range spec.Constraints {
-			cons.Add(c.A, c.B, c.MustLink)
+		cs := make([]constraints.Constraint, len(spec.Constraints))
+		for i, c := range spec.Constraints {
+			cs[i] = constraints.Constraint{Pair: constraints.Pair{A: c.A, B: c.B}, MustLink: c.MustLink}
 		}
-		sup = corecvcp.ConstraintSet(cons)
+		sup = corecvcp.ConstraintSet(constraints.Of(cs))
 	case spec.DatasetID != "":
 		// Dataset-referencing jobs use the stable supervision: per-row
 		// label selection and fold assignment that never move under

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -166,6 +167,71 @@ func TestManagerQueueFullAndQueuedCancel(t *testing.T) {
 	close(alg.release)
 	if s := waitTerminal(t, running); s != StatusCancelled {
 		t.Fatalf("running job finished as %s, want cancelled", s)
+	}
+}
+
+// A terminal job drops its dataset and serialized payload — up to
+// RetainFinished finished jobs would otherwise pin them — and what it
+// shows stays the same: the view, the persisted record and the SSE
+// replay are unchanged by restoring both fields. Covers a job that ran to
+// completion and one cancelled before it started.
+func TestTerminalJobReleasesDataset(t *testing.T) {
+	ds, _ := testDataset(t, 30)
+	alg := newBlockingAlg()
+	RegisterAlgorithm("block-release", alg, []int{1})
+	ts, m := newTestServer(t, Config{MaxRunningJobs: 1, QueueDepth: 2, WorkerBudget: 2})
+
+	spec := quickSpec()
+	spec.Algorithm = "block-release"
+	spec.Params = []int{1}
+	ran, err := m.Submit(spec, ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-alg.started
+	queued, err := m.Submit(quickSpec(), ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st, err := m.Cancel(queued.ID()); err != nil || st != StatusCancelled {
+		t.Fatalf("cancel queued: status %s, err %v", st, err)
+	}
+	close(alg.release)
+	if s := waitTerminal(t, ran); s != StatusDone {
+		t.Fatalf("job finished as %s, want done", s)
+	}
+
+	blob := marshalDataset(ds)
+	for _, j := range []*Job{ran, queued} {
+		j.mu.Lock()
+		held := j.ds != nil || j.dsBlob != nil
+		j.mu.Unlock()
+		if held {
+			t.Fatalf("terminal job %s still holds its dataset", j.ID())
+		}
+		view, rec, events := j.View(), j.record(), getSSE(t, ts, j.ID(), 0)
+		if len(rec.Dataset) != 0 {
+			t.Fatalf("terminal record of %s carries a dataset payload", j.ID())
+		}
+
+		j.mu.Lock()
+		j.ds, j.dsBlob = ds, blob
+		j.mu.Unlock()
+		if got := j.View(); !reflect.DeepEqual(got, view) {
+			t.Errorf("%s: view changed with the dataset held:\n%+v\nvs\n%+v", j.ID(), got, view)
+		}
+		if got := j.record(); !reflect.DeepEqual(got, rec) {
+			t.Errorf("%s: record changed with the dataset held:\n%+v\nvs\n%+v", j.ID(), got, rec)
+		}
+		got := getSSE(t, ts, j.ID(), 0)
+		if len(got) != len(events) {
+			t.Fatalf("%s: SSE replay has %d events with the dataset held, %d without", j.ID(), len(got), len(events))
+		}
+		for i := range got {
+			if !sameSSE(got[i], events[i]) {
+				t.Errorf("%s: SSE event %d = %+v, want %+v", j.ID(), i, got[i], events[i])
+			}
+		}
 	}
 }
 
